@@ -9,8 +9,8 @@ from posvec import conversion_vector, permutation_from_conversion
 perm = (4, 2, 3, 5, 1)
 print(perm, "->", conversion_vector(perm))
 
-# Reconstruction grows the permutation one entry at a time: append
-# r_i + 1 and bump every earlier entry that would tie or beat it.
+# Each prefix of the vector decodes on its own.  One entry longer puts
+# r_i + 1 last and bumps every earlier entry that would tie or beat it.
 vector = (0, 0, 1, 3, 0)
 for k in range(1, len(vector) + 1):
     print(vector[:k], "->", permutation_from_conversion(vector[:k]))

@@ -41,9 +41,12 @@ VECTOR_FILTERS = ("all", "semigroups", "semigroups_with_multiplicity_n")
 
 
 def validate_vector(vector: Sequence[int]) -> None:
-    """Raise ValueError unless every entry is a positive integer."""
+    """
+    Raise ValueError unless every entry is a positive plain int (bools and
+    other int subclasses are refused).
+    """
     for i, v in enumerate(vector, start=1):
-        if not isinstance(v, int) or v < 1:
+        if type(v) is not int or v < 1:
             raise ValueError(f"vector entry {i} must be a positive integer, got {v!r}")
 
 

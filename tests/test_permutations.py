@@ -1,6 +1,7 @@
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from posvec.permutations import (
     conversion_vector,
@@ -68,7 +69,19 @@ def test_extreme_permutations(m):
 
 
 @pytest.mark.parametrize(
-    "bad", [[1, 1], [2, 3], [0, 1], [1, 2, 4], [1, -1], ["a", "b"]]
+    "bad",
+    [
+        [1, 1],
+        [2, 3],
+        [0, 1],
+        [1, 2, 4],
+        [1, -1],
+        ["a", "b"],
+        [1, "a"],
+        [1.0, 2.0],
+        [True],
+        [2, True],
+    ],
 )
 def test_invalid_permutations_rejected(bad):
     with pytest.raises(ValueError):
@@ -77,9 +90,33 @@ def test_invalid_permutations_rejected(bad):
         validate_permutation(bad)
 
 
-@pytest.mark.parametrize("bad", [(1,), (0, 2), (0, 0, 3), (0, -1), (0, 0.5)])
+@pytest.mark.parametrize(
+    "bad",
+    [(1,), (0, 2), (0, 0, 3), (0, -1), (0, 0.5), (False,), (False, True)],
+)
 def test_invalid_conversion_vectors_rejected(bad):
     with pytest.raises(ValueError):
         permutation_from_conversion(bad)
     with pytest.raises(ValueError):
         validate_conversion_vector(bad)
+
+
+random_permutations = st.integers(0, 300).flatmap(
+    lambda m: st.permutations(range(1, m + 1))
+)
+# entry i (0-based) reduced into 0..i, so every draw is a conversion vector
+random_conversion_vectors = st.integers(0, 300).flatmap(
+    lambda m: st.lists(st.integers(0, m), min_size=m, max_size=m)
+).map(lambda xs: tuple(x % (i + 1) for i, x in enumerate(xs)))
+
+
+@given(random_permutations)
+def test_conversion_vector_matches_definition(perm):
+    vec = conversion_vector(perm)
+    assert vec == conversion_by_definition(perm)
+    assert permutation_from_conversion(vec) == tuple(perm)
+
+
+@given(random_conversion_vectors)
+def test_permutation_from_conversion_inverts(vec):
+    assert conversion_vector(permutation_from_conversion(vec)) == vec

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from posvec.numsets import AperySet, NumericalSet
 from posvec.oracle import closure_violations
@@ -65,6 +66,19 @@ class TestCodec:
             vector = tuple(rng.randint(1, 50) for _ in range(n - 1))
             assert encode(decode(vector)) == vector
 
+    @given(
+        st.integers(0, 200).flatmap(
+            lambda m: st.tuples(*(st.integers(1, 3 * i) for i in range(1, m + 1)))
+        )
+    )
+    def test_round_trip_property(self, vector):
+        assert encode(decode(vector)) == vector
+
+    def test_round_trip_long(self):
+        rng = random.Random(17)
+        vector = tuple(rng.randint(1, 3 * i) for i in range(1, 10**4 + 1))
+        assert encode(decode(vector)) == vector
+
     def test_decode_injective_on_grid(self):
         for n, bound in ((3, 5), (4, 4)):
             vectors = list(product(range(1, bound + 1), repeat=n - 1))
@@ -86,7 +100,7 @@ class TestCodec:
         assert decode((2**61,)).elements == (0, 2**62 - 1)
 
     def test_validation(self):
-        for bad in ((0,), (1, 0), (-2,), (1.5,)):
+        for bad in ((0,), (1, 0), (-2,), (1.5,), (True, 2), (2, True)):
             with pytest.raises(ValueError):
                 decode(bad)
 
