@@ -16,8 +16,11 @@ for vector in [(2, 2, 4), (2, 4), (2, 6), (1, 1, 1, 1, 1), (3, 2, 1, 6, 7)]:
         a, b = closure_violations(numset)[0]
         print(f"  witness: {a}+{b}={a + b} is missing from {numset}")
 
-# The verdict only depends on the vector through its congruence class
-# (entry i taken mod i) and the quotients u_i = (v_i - 1) // i.
+# The verdict depends on the vector only through its congruence class
+# (entry i taken mod i) and the quotients u_i = (v_i - 1) // i, which
+# is how the paper states the criterion.  The code evaluates the same
+# condition as Kunz's inequality W[a] + W[b] >= W[(a+b) mod n] on the
+# Apéry elements indexed by residue.
 profile = class_profile((3, 2, 1, 6, 7))
 print("\nclass representative:", profile.representative)
 print("class permutation:", profile.permutation)

@@ -37,6 +37,8 @@ EXIT_GUARD = 3
 
 # decode materialises the sporadic members below the conductor
 _DECODE_CONDUCTOR_GUARD = 10**7
+# enumerate and the grid verify suites walk bound^(n-1) vectors
+_GRID_GUARD = 10**6
 
 _CSV = re.compile(r"[0-9]+(,[0-9]+)*$")
 
@@ -59,6 +61,17 @@ def _csv(values) -> str:
 
 def _bool(value: bool) -> str:
     return "true" if value else "false"
+
+
+def _guard_grid(n: int, bound: int) -> None:
+    # with bound >= 2, n - 1 past the guard's bit length already exceeds
+    # it; testing that first keeps a huge --n from computing a huge power
+    if bound > 1 and (
+        n - 1 > _GRID_GUARD.bit_length() or bound ** (n - 1) > _GRID_GUARD
+    ):
+        raise BoundExceededError(
+            f"grid of {bound}^{n - 1} vectors exceeds guard {_GRID_GUARD}"
+        )
 
 
 def _cmd_encode(args):
@@ -107,7 +120,7 @@ def _cmd_decode(args):
         "numerical_set": str(numset),
     }
     lines = [f"n: {n}", f"apery_set: {apery}", f"numerical_set: {numset}"]
-    if numset.is_semigroup():
+    if apery.generates_semigroup():
         summary = numset.summary()
         payload["is_semigroup"] = True
         payload["minimal_generators"] = list(summary.minimal_generators)
@@ -165,6 +178,7 @@ def _cmd_check(args):
 
 
 def _cmd_enumerate(args):
+    _guard_grid(args.n, args.bound)
     vectors = list(enumerate_vectors(args.n, args.bound, args.filter))
     payload = {
         "command": "enumerate",
@@ -180,6 +194,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
+    if args.suite != "apery-criterion":
+        _guard_grid(min(args.n, 5) if args.suite == "tables" else args.n, args.bound)
     results = []
     if args.suite in ("bijection", "all"):
         results.append(oracle.bijection_suite(args.n, args.bound))

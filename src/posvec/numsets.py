@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import sub
 from typing import Iterable
 
 from .errors import BoundExceededError
@@ -228,9 +229,11 @@ class AperySet:
 
     def __post_init__(self) -> None:
         n = self.modulus
-        if n < 1:
-            raise ValueError("modulus must be positive")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"modulus must be a positive integer, got {n!r}")
         el = self.elements
+        if not {int}.issuperset(map(type, el)):
+            raise ValueError(f"elements must be plain ints, got {tuple(el)!r}")
         if len(el) != n:
             raise ValueError(f"expected {n} elements, got {len(el)}")
         if el[0] != 0:
@@ -268,21 +271,32 @@ class AperySet:
 
     def generates_semigroup(self) -> bool:
         """
-        True when ``to_numerical_set()`` is closed under addition, decided
-        by the pairwise test: for nonzero elements w_i <= w_j, the sum
-        w_i + w_j must reach at least the element sharing its residue
-        class whenever that element is larger than w_j.
+        True when ``to_numerical_set()`` is closed under addition.
+
+        >>> AperySet(4, (0, 7, 9, 14)).generates_semigroup()
+        True
+        >>> AperySet(3, (0, 5, 13)).generates_semigroup()  # 5 + 5 < 13
+        False
         """
-        n = self.modulus
-        el = self.elements
-        index_of = {w % n: idx for idx, w in enumerate(el)}
-        for i in range(1, n):
-            for j in range(i, n):
-                s = el[i] + el[j]
-                l = index_of[s % n]
-                if l > j and s < el[l]:
-                    return False
-        return True
+        return _closed_under_addition(self.modulus, self.elements)
+
+
+def _closed_under_addition(n: int, elements: Iterable[int]) -> bool:
+    """
+    Kunz's test (Kunz 1987; Rosales & García-Sánchez 2009, ch. 1): with
+    W[r] the element in residue class r mod n, adding multiples of n to
+    the elements gives a set closed under addition iff W[a] + W[b] >=
+    W[(a + b) mod n] for 1 <= a <= b < n.  Row a is one C-level pass over
+    W[a:] and the doubled table; a + b = n lands on W[0] = 0, never failing.
+    """
+    table = [0] * n
+    for w in elements:
+        table[w % n] = w
+    doubled = table + table
+    return all(
+        max(map(sub, doubled[2 * a : a + n], table[a:])) <= table[a]
+        for a in range(1, n)
+    )
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ two directions purely arithmetically, without enumerating the set:
 The remaining functions classify vectors: which decode to numerical
 semigroups (closed under addition), in general and via closed-form
 rule tables for moduli up to 5, and which decode to semigroups whose
-least positive member equals the modulus.
+least positive member equals the modulus.  The general criterion and
+``AperySet.generates_semigroup`` share one test, Kunz's inequality
+W[a] + W[b] >= W[(a+b) mod n] on the Apéry elements indexed by residue.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .numsets import AperyDecomposition, AperySet, NumericalSet
+from .numsets import AperyDecomposition, AperySet, NumericalSet, _closed_under_addition
 from .permutations import conversion_vector, permutation_from_conversion
 
 VECTOR_FILTERS = ("all", "semigroups", "semigroups_with_multiplicity_n")
@@ -183,29 +185,13 @@ def is_semigroup_vector(vector: Sequence[int]) -> bool:
         sum(u+g, 1..i) + (p_i + p_j - p_l)/n  >=  sum(u+g, j+1..l)
 
     where n = len(vector) + 1 and the correction term is always 0 or 1.
+    It is evaluated as Kunz's inequality on the Apéry elements n*q + r
+    (see ``numsets._closed_under_addition``), with no 2^63 cap on them.
     """
-    profile = class_profile(vector)
-    m = len(vector)
-    n = m + 1
-    perm = profile.permutation
-    prefix = [0]
-    for u, g in zip(profile.entry_quotients, profile.descent_flags):
-        prefix.append(prefix[-1] + u + g)
-    index_of = {value: idx for idx, value in enumerate(perm, start=1)}
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            target = (perm[i - 1] + perm[j - 1]) % n
-            if target == 0:
-                # no nonzero Apéry element is divisible by the modulus
-                continue
-            l = index_of[target]
-            if l <= j:
-                continue
-            bump = (perm[i - 1] + perm[j - 1] - perm[l - 1]) // n
-            assert bump in (0, 1)
-            if prefix[i] + bump < prefix[l] - prefix[j]:
-                return False
-    return True
+    split = vector_decomposition(vector)
+    n = split.modulus
+    elements = [n * q + r for q, r in zip(split.quotients, split.residues)]
+    return _closed_under_addition(n, elements)
 
 
 # Closed-form semigroup rules for vectors of length 2, 3 and 4 (moduli

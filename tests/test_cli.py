@@ -172,6 +172,19 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--n", "3", "--bound", "2", "--filter", "x")
         assert code == 1
 
+    def test_grid_guard_exit_code(self, capsys, monkeypatch):
+        # fail fast instead of walking the grid if the guard is missing
+        monkeypatch.setattr(cli, "enumerate_vectors", lambda *a: pytest.fail("grid walked"))
+        for n in ("12", str(10**9)):
+            code, _, err = run(capsys, "enumerate", "--n", n, "--bound", "10")
+            assert code == 3
+            assert "guard" in err
+
+    def test_modulus_one_is_input_error(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--n", "1", "--bound", "3")
+        assert code == 1
+        assert "modulus" in err
+
 
 class TestVerify:
     def test_single_suite(self, capsys):
@@ -187,6 +200,23 @@ class TestVerify:
         names = [suite["name"] for suite in payload["suites"]]
         assert names == ["bijection", "apery-criterion", "vector-criterion", "tables"]
         assert all(suite["passed"] for suite in payload["suites"])
+
+    def test_grid_guard_exit_code(self, capsys, monkeypatch):
+        for name in ("bijection_suite", "vector_criterion_suite", "table_suite"):
+            monkeypatch.setattr(cli.oracle, name, lambda *a: pytest.fail("grid walked"))
+        for suite in ("bijection", "vector-criterion", "tables", "all"):
+            # tables walks the modulus-5 grid: 100^4 vectors
+            code, _, err = run(capsys, "verify", suite, "--n", "12", "--bound", "100")
+            assert code == 3
+            assert "guard" in err
+
+    def test_apery_criterion_ignores_grid(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "apery-criterion", "--n", "12", "--bound", "10",
+            "--max-frobenius", "3",
+        )
+        assert code == 0
+        assert out.startswith("PASS apery-criterion")
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         broken = SuiteResult("tables", False, 7, "synthetic failure")

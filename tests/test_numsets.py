@@ -140,6 +140,12 @@ class TestAperySets:
             AperySet(3, (0, 2, 5))  # residue class 1 missing
         with pytest.raises(ValueError):
             AperySet(3, (0, 5, 4))  # not increasing
+        with pytest.raises(ValueError):
+            AperySet(2, (0, 1.0))  # not an int
+        with pytest.raises(ValueError):
+            AperySet(3, (0, True, 2))  # bool is not a plain int
+        with pytest.raises(ValueError):
+            AperySet(2.0, (0, 1))  # modulus not an int
         AperySet(1, (0,))
 
     def test_to_numerical_set(self):

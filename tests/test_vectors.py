@@ -205,6 +205,32 @@ class TestSemigroupCriteria:
                 actual = not closure_violations(decode(vector).to_numerical_set())
                 assert is_semigroup_vector(vector) == actual, vector
 
+    @given(st.lists(st.integers(1, 8), max_size=6).map(tuple))
+    def test_vector_apery_and_oracle_agree(self, vector):
+        apery = decode(vector)
+        closed = not closure_violations(apery.to_numerical_set())
+        assert is_semigroup_vector(vector) == apery.generates_semigroup() == closed
+
+    def test_long_kunz_vector(self):
+        # Kunz coordinates in [k, 2k - 1] always give a semigroup, so every
+        # row of the test runs; lowering one coordinate to 0 breaks it
+        rng = random.Random(23)
+        n = 301
+        k = rng.randint(2, 6)
+        coords = [rng.randint(k, 2 * k - 1) for _ in range(n - 1)]
+        elements = [0] + [n * q + r for r, q in enumerate(coords, start=1)]
+        vector = encode(AperySet(n, tuple(sorted(elements))))
+        assert len(vector) == 300
+        assert is_semigroup_vector(vector) is True
+        elements[1] = 1
+        broken = encode(AperySet(n, tuple(sorted(elements))))
+        assert is_semigroup_vector(broken) is False
+
+    def test_elements_past_64_bits(self):
+        # decode would refuse these elements; the criterion does not need to
+        assert is_semigroup_vector((2**70, 1)) is True
+        assert is_semigroup_vector((1, 2**70)) is False
+
 
 class TestMultiplicityFlag:
     def test_known_values(self):
