@@ -180,17 +180,20 @@ def _cmd_check(args):
 def _cmd_enumerate(args):
     _guard_grid(args.n, args.bound)
     vectors = list(enumerate_vectors(args.n, args.bound, args.filter))
+    # build only the output that gets printed, since at the grid guard
+    # either one holds a million entries; json.dumps writes tuples as arrays
+    if args.format == "text":
+        return None, [_csv(v) for v in vectors] + [f"count: {len(vectors)}"], EXIT_OK
     payload = {
         "command": "enumerate",
         "status": "ok",
         "n": args.n,
         "bound": args.bound,
         "filter": args.filter,
-        "vectors": [list(v) for v in vectors],
+        "vectors": vectors,
         "count": len(vectors),
     }
-    lines = [_csv(v) for v in vectors] + [f"count: {len(vectors)}"]
-    return payload, lines, EXIT_OK
+    return payload, None, EXIT_OK
 
 
 def _cmd_verify(args):

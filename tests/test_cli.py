@@ -168,6 +168,14 @@ class TestEnumerate:
         assert payload["count"] == 5
         assert payload["vectors"] == [[1], [2], [3], [4], [5]]
 
+    def test_json_bytes(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "3", "--bound", "2", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"command": "enumerate", "status": "ok", "n": 3, "bound": 2, '
+            '"filter": "all", "vectors": [[1, 1], [1, 2], [2, 1], [2, 2]], "count": 4}\n'
+        )
+
     def test_bad_filter(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "3", "--bound", "2", "--filter", "x")
         assert code == 1

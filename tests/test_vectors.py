@@ -168,6 +168,25 @@ class TestCongruence:
                         )
 
 
+    @given(
+        st.integers(0, 8).flatmap(
+            lambda m: st.tuples(
+                st.tuples(*(st.integers(1, 3 * i) for i in range(1, m + 1))),
+                st.tuples(*(st.integers(0, 10) for _ in range(m))),
+            )
+        )
+    )
+    def test_shifted_vectors_share_class(self, drawn):
+        # adding i*k_i to entry i keeps the class: the residues, and so the
+        # conversion vector keying enumerate_vectors' rule cache, stay put
+        v, shifts = drawn
+        z = tuple(x + i * k for i, (x, k) in enumerate(zip(v, shifts), start=1))
+        assert vector_decomposition(v).residues == vector_decomposition(z).residues
+        pv, pz = class_profile(v), class_profile(z)
+        assert pv.permutation == pz.permutation
+        assert pv.descent_flags == pz.descent_flags
+
+
 class TestSemigroupCriteria:
     def test_golden_decisions(self):
         assert is_semigroup_vector((2, 2, 4))
@@ -268,6 +287,27 @@ class TestEnumeration:
             if decode(v).to_numerical_set().multiplicity == 3
         ]
         assert got == expected
+
+    # each grid holds at most 3000 vectors; where bound > n - 1 the
+    # congruence classes repeat, so the per-class rule cache is hit
+    @pytest.mark.parametrize(
+        "n, bound", ((2, 40), (3, 20), (4, 9), (5, 6), (6, 4), (7, 3), (8, 3))
+    )
+    def test_filters_agree_with_plain_criterion(self, n, bound):
+        grid = list(product(range(1, bound + 1), repeat=n - 1))
+        semigroups = [v for v in grid if is_semigroup_vector(v)]
+        if n <= 5:
+            assert semigroups == [
+                v for v in grid if not closure_violations(decode(v).to_numerical_set())
+            ]
+        assert list(enumerate_vectors(n, bound)) == grid
+        assert list(enumerate_vectors(n, bound, "semigroups")) == semigroups
+        assert list(enumerate_vectors(n, bound, "semigroups_with_multiplicity_n")) == [
+            v for v in semigroups if v[0] > 1
+        ]
+
+    def test_semigroup_count_n6_bound8(self):
+        assert len(list(enumerate_vectors(6, 8, "semigroups"))) == 19985
 
     def test_lexicographic_order(self):
         vectors = list(enumerate_vectors(4, 3))
