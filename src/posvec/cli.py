@@ -56,7 +56,7 @@ def _parse_csv(text: str, what: str) -> list[int]:
 
 
 def _csv(values) -> str:
-    return ",".join(str(v) for v in values)
+    return ",".join(map(str, values))
 
 
 def _bool(value: bool) -> str:
@@ -64,11 +64,16 @@ def _bool(value: bool) -> str:
 
 
 def _guard_grid(n: int, bound: int) -> None:
-    # with bound >= 2, n - 1 past the guard's bit length already exceeds
-    # it; testing that first keeps a huge --n from computing a huge power
-    if bound > 1 and (
-        n - 1 > _GRID_GUARD.bit_length() or bound ** (n - 1) > _GRID_GUARD
-    ):
+    # the semigroup filters cost O(n^2) per tail even when bound = 1, so the
+    # vector length is capped at every bound; with bound >= 2 that cap is
+    # implied by the size test, and testing it first keeps a huge --n from
+    # computing a huge power
+    if n - 1 > _GRID_GUARD.bit_length():
+        raise BoundExceededError(
+            f"vector length {n - 1} exceeds {_GRID_GUARD.bit_length()}, "
+            f"the longest a grid under guard {_GRID_GUARD} can have"
+        )
+    if bound > 1 and bound ** (n - 1) > _GRID_GUARD:
         raise BoundExceededError(
             f"grid of {bound}^{n - 1} vectors exceeds guard {_GRID_GUARD}"
         )
@@ -177,13 +182,22 @@ def _cmd_check(args):
     return payload, lines, EXIT_OK
 
 
+def _text_lines(vectors):
+    count = 0
+    for count, vector in enumerate(vectors, start=1):
+        yield _csv(vector)
+    yield f"count: {count}"
+
+
 def _cmd_enumerate(args):
     _guard_grid(args.n, args.bound)
-    vectors = list(enumerate_vectors(args.n, args.bound, args.filter))
-    # build only the output that gets printed, since at the grid guard
-    # either one holds a million entries; json.dumps writes tuples as arrays
+    # enumerate_vectors checks its arguments at the call, so a bad one
+    # exits 1 before any output; text then streams line by line, while
+    # json.dumps needs the whole list (it writes tuples as arrays)
+    vectors = enumerate_vectors(args.n, args.bound, args.filter)
     if args.format == "text":
-        return None, [_csv(v) for v in vectors] + [f"count: {len(vectors)}"], EXIT_OK
+        return None, _text_lines(vectors), EXIT_OK
+    vectors = list(vectors)
     payload = {
         "command": "enumerate",
         "status": "ok",
@@ -344,7 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if fmt == "json":
         print(json.dumps(payload))
     else:
-        print("\n".join(lines))
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     return code
 
 

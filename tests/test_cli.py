@@ -176,6 +176,19 @@ class TestEnumerate:
             '"filter": "all", "vectors": [[1, 1], [1, 2], [2, 1], [2, 2]], "count": 4}\n'
         )
 
+    def test_empty_result(self, capsys):
+        argv = ("enumerate", "--n", "4", "--bound", "1")
+        argv += ("--filter", "semigroups_with_multiplicity_n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == "count: 0\n"
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"command": "enumerate", "status": "ok", "n": 4, "bound": 1, '
+            '"filter": "semigroups_with_multiplicity_n", "vectors": [], "count": 0}\n'
+        )
+
     def test_bad_filter(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "3", "--bound", "2", "--filter", "x")
         assert code == 1
@@ -188,10 +201,25 @@ class TestEnumerate:
             assert code == 3
             assert "guard" in err
 
+    def test_length_guard_at_bound_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "enumerate_vectors", lambda *a: pytest.fail("grid walked"))
+        for n in ("23", "100000"):
+            argv = ("enumerate", "--n", n, "--bound", "1", "--filter", "semigroups")
+            code, _, err = run(capsys, *argv)
+            assert code == 3
+            assert "vector length" in err and "guard" in err
+
     def test_modulus_one_is_input_error(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--n", "1", "--bound", "3")
+        code, out, err = run(capsys, "enumerate", "--n", "1", "--bound", "3")
         assert code == 1
+        assert out == ""
         assert "modulus" in err
+
+    def test_bad_bound_is_input_error_before_output(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--bound", "0")
+        assert code == 1
+        assert out == ""
+        assert "bound" in err
 
 
 class TestVerify:

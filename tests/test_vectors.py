@@ -177,14 +177,33 @@ class TestCongruence:
         )
     )
     def test_shifted_vectors_share_class(self, drawn):
-        # adding i*k_i to entry i keeps the class: the residues, and so the
-        # conversion vector keying enumerate_vectors' rule cache, stay put
+        # adding i*k_i to entry i keeps the class: the residues stay put
         v, shifts = drawn
         z = tuple(x + i * k for i, (x, k) in enumerate(zip(v, shifts), start=1))
         assert vector_decomposition(v).residues == vector_decomposition(z).residues
         pv, pz = class_profile(v), class_profile(z)
         assert pv.permutation == pz.permutation
         assert pv.descent_flags == pz.descent_flags
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda m: st.tuples(
+                st.tuples(*(st.integers(1, 3 * i) for i in range(1, m + 1))),
+                st.integers(0, 6),
+            )
+        )
+    )
+    def test_first_entry_shifts_quotients(self, drawn):
+        # the lemma behind enumerate_vectors' tail thresholds: raising v_1
+        # by k keeps the residues, raises every Apéry quotient by k and
+        # keeps a semigroup a semigroup
+        v, k = drawn
+        z = (v[0] + k,) + v[1:]
+        dv, dz = vector_decomposition(v), vector_decomposition(z)
+        assert dz.residues == dv.residues
+        assert dz.quotients == tuple(q + k for q in dv.quotients)
+        if is_semigroup_vector(v):
+            assert is_semigroup_vector(z)
 
 
 class TestSemigroupCriteria:
@@ -288,10 +307,15 @@ class TestEnumeration:
         ]
         assert got == expected
 
-    # each grid holds at most 3000 vectors; where bound > n - 1 the
-    # congruence classes repeat, so the per-class rule cache is hit
+    # each grid holds at most 3600 vectors; from n = 9 on with bound 2
+    # every tail is its own congruence class, and (3, 60) has many first
+    # entries per tail
     @pytest.mark.parametrize(
-        "n, bound", ((2, 40), (3, 20), (4, 9), (5, 6), (6, 4), (7, 3), (8, 3))
+        "n, bound",
+        (
+            (2, 40), (3, 20), (4, 9), (5, 6), (6, 4), (7, 3), (8, 3),
+            (9, 2), (10, 2), (12, 2), (3, 60),
+        ),
     )
     def test_filters_agree_with_plain_criterion(self, n, bound):
         grid = list(product(range(1, bound + 1), repeat=n - 1))
@@ -305,6 +329,15 @@ class TestEnumeration:
         assert list(enumerate_vectors(n, bound, "semigroups_with_multiplicity_n")) == [
             v for v in semigroups if v[0] > 1
         ]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bound_one(self, n):
+        # the one vector of all ones decodes to the whole of N: a semigroup,
+        # but with multiplicity 1, not n
+        ones = [(1,) * (n - 1)]
+        assert list(enumerate_vectors(n, 1)) == ones
+        assert list(enumerate_vectors(n, 1, "semigroups")) == ones
+        assert list(enumerate_vectors(n, 1, "semigroups_with_multiplicity_n")) == []
 
     def test_semigroup_count_n6_bound8(self):
         assert len(list(enumerate_vectors(6, 8, "semigroups"))) == 19985
